@@ -1,8 +1,11 @@
 // Package client implements the real-time streaming client: it drives any
 // player.Scheme over the wire protocol against a tile server, replaying a
-// user head trace in wall-clock time and producing the same session metrics
-// as the discrete-event engine. This is the path exercised by the
-// cmd/dragonfly-client binary and the live-stream example.
+// user head trace in wall-clock time. Playback itself is the same
+// player.Playhead the discrete-event engine steps on virtual time; this
+// package owns only the sockets, the reconnector and the wall-clock wait
+// between events, so both paths produce the same session metrics. This is
+// the path exercised by the cmd/dragonfly-client binary and the live-stream
+// example.
 //
 // The client is fault tolerant: PlayResilient wraps the session in a
 // reconnector with read/write deadlines, exponential backoff with jitter,
@@ -271,7 +274,6 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 		head:   head,
 		scheme: scheme,
 		opts:   opts,
-		grid:   m.Grid(),
 		met: &player.Metrics{
 			SchemeName: scheme.Name(),
 			VideoID:    m.VideoID,
@@ -288,8 +290,19 @@ func play(conn net.Conn, dial DialFunc, videoID string, head *trace.HeadTrace, s
 	} else {
 		s.vpPred = predict.NewViewport(opts.PredictorHistory)
 	}
-	s.acct = player.NewAccountant(m, s.grid, opts.Viewport, opts.Metric, s.met)
-	s.acct.Interpolate = opts.MaskInterpolation
+	grid := m.Grid()
+	acct := player.NewAccountant(m, grid, opts.Viewport, opts.Metric, s.met)
+	acct.Interpolate = opts.MaskInterpolation
+	s.ph = player.NewPlayhead(acct, s.received, head, scheme.StallPolicy(), opts.Trace)
+	// One decision Context per session, refilled in place each epoch.
+	s.ctx = player.Context{
+		Manifest:      m,
+		Grid:          grid,
+		Viewport:      opts.Viewport,
+		Received:      s.received,
+		Predict:       s.vpPred.Predict,
+		FrameDeadline: s.ph.FrameDeadline,
+	}
 	s.met.BusyRejects = busyRejects
 	return s.run()
 }
@@ -346,7 +359,6 @@ type session struct {
 	head   *trace.HeadTrace
 	scheme player.Scheme
 	opts   PlayOptions
-	grid   *geom.Grid
 
 	start time.Time
 
@@ -366,8 +378,12 @@ type session struct {
 	// dropped instead of racing with the returned metrics.
 	finished bool
 
+	// ph is the playback state machine. Only the run goroutine steps it,
+	// holding mu: frames render from received and into met, which the
+	// receiver goroutine writes.
+	ph     player.Playhead
+	ctx    player.Context
 	vpPred *predict.Viewport
-	acct   *player.Accountant
 	met    *player.Metrics
 
 	delivered chan struct{}
@@ -638,148 +654,39 @@ func (s *session) run() (*player.Metrics, error) {
 	s.mu.Unlock()
 	go s.receiver(conn, id)
 
-	policy := s.scheme.StallPolicy()
 	interval := s.scheme.DecisionInterval()
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
-	frameDur := time.Second / time.Duration(s.m.FPS)
-	totalFrames := s.m.NumFrames()
-
-	var (
-		playFrame    int
-		stalled      = true // startup
-		startup      = true
-		stallStart   time.Duration
-		nextFrameAt  time.Duration
-		nextHead     time.Duration
-		nextDecision time.Duration
-	)
-
-	const startupGrace = time.Second
-
-	requirementMet := func(now time.Duration, chunk int, ids []geom.TileID) bool {
-		if startup && policy == player.NeverStall && now >= startupGrace {
-			return true
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, id := range ids {
-			switch {
-			case startup || policy == player.StallOnMissingAny:
-				_, okP := s.received.BestPrimaryBy(chunk, id, now)
-				if !okP && !s.received.HasMaskingBy(chunk, id, now) {
-					return false
-				}
-			case policy == player.StallOnMissingMasking:
-				if !s.received.HasMaskingBy(chunk, id, now) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	renderFrame := func(now time.Duration) {
-		chunk := s.m.ChunkOfFrame(playFrame)
-		o := s.head.At(now)
-		s.mu.Lock()
-		skips, masks, blanks := s.met.PrimarySkipFrames, s.met.RenderedMasking, s.met.RenderedBlank
-		s.acct.RenderFrame(chunk, o, s.received, now)
-		skips, masks, blanks = s.met.PrimarySkipFrames-skips, s.met.RenderedMasking-masks, s.met.RenderedBlank-blanks
-		var score float64
-		scored := len(s.met.FrameScore) > 0
-		if scored {
-			score = s.met.FrameScore[len(s.met.FrameScore)-1]
-		}
-		s.mu.Unlock()
-		if s.opts.Trace != nil {
-			if scored {
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvQuality, Chunk: chunk, N: int64(score * 100)})
-			}
-			if skips > 0 {
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvSkip, Chunk: chunk})
-			}
-			if masks > 0 {
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvMask, Chunk: chunk, N: masks})
-			}
-			if blanks > 0 {
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvBlank, Chunk: chunk, N: blanks})
-			}
-		}
-		playFrame++
-		nextFrameAt = now + frameDur
-	}
-
-	tryResume := func(now time.Duration) {
-		if !stalled {
-			return
-		}
-		o := s.head.At(now)
-		ids := s.opts.Viewport.Tiles(s.grid, o)
-		chunk := s.m.ChunkOfFrame(playFrame)
-		if !requirementMet(now, chunk, ids) {
-			return
-		}
-		if startup {
-			s.met.StartupDelay = now
-			startup = false
-			s.opts.Trace.Record(now, obs.EvStartup, int64(now/time.Millisecond))
-		} else {
-			s.met.RebufferDuration += now - stallStart
-			s.met.StallIntervals = append(s.met.StallIntervals, player.StallInterval{Start: stallStart, End: now})
-			s.opts.Trace.Record(now, obs.EvResume, int64((now-stallStart)/time.Millisecond))
-		}
-		stalled = false
-		renderFrame(now)
-	}
-
-	for playFrame < totalFrames {
+	var nextHead, nextDecision time.Duration
+	for !s.ph.Done() {
 		now := s.now()
+		s.mu.Lock()
 		if now >= s.opts.MaxWall {
-			s.met.Truncated = true
-			if stalled && !startup {
-				s.met.RebufferDuration += now - stallStart
-			}
+			s.ph.Truncate(now)
+			s.mu.Unlock()
 			break
 		}
-
 		// Feed head samples due by now.
 		for nextHead <= now {
 			s.vpPred.Observe(nextHead, s.head.At(nextHead))
 			nextHead += s.head.SamplePeriod
 		}
-		tryResume(now)
+		s.ph.TryResume(now)
+		s.mu.Unlock()
 		if now >= nextDecision {
-			s.decide(now, playFrame, stalled, nextFrameAt, frameDur)
+			s.decide(now)
 			nextDecision = now + interval
 		}
-		if !stalled && now >= nextFrameAt && playFrame < totalFrames {
-			o := s.head.At(now)
-			ids := s.opts.Viewport.Tiles(s.grid, o)
-			chunk := s.m.ChunkOfFrame(playFrame)
-			if policy != player.NeverStall && !requirementMet(now, chunk, ids) {
-				stalled = true
-				stallStart = now
-				s.met.StallEvents++
-				s.opts.Trace.Add(obs.Event{At: now, Kind: obs.EvStall, Chunk: chunk})
-			} else {
-				renderFrame(now)
-			}
-		}
-		if playFrame >= totalFrames {
+		s.mu.Lock()
+		s.ph.RenderOrStall(now)
+		s.mu.Unlock()
+		if s.ph.Done() {
 			break
 		}
 
 		// Sleep until the next event, or wake on a delivery/reconnect.
-		wake := nextHead
-		if nextDecision < wake {
-			wake = nextDecision
-		}
-		if !stalled && nextFrameAt < wake {
-			wake = nextFrameAt
-		}
-		if sleep := wake - s.now(); sleep > 0 {
+		if sleep := s.ph.Wake(min(nextHead, nextDecision)) - s.now(); sleep > 0 {
 			timer := time.NewTimer(sleep)
 			select {
 			case <-timer.C:
@@ -792,18 +699,16 @@ func (s *session) run() (*player.Metrics, error) {
 		}
 	}
 
-	s.met.WallDuration = s.now()
-	s.met.PlayDuration = time.Duration(s.met.TotalFrames) * frameDur
-
 	s.mu.Lock()
+	now := s.now()
 	s.finished = true
 	if s.down {
 		// Close the open outage interval: the session ended disconnected.
-		s.met.OutageDuration += s.now() - s.downAt
+		s.met.OutageDuration += now - s.downAt
 		s.down = false
 	}
 	conn = s.conn
-	s.acct.FinishWastage(s.deliveries)
+	s.ph.Finish(now, s.deliveries)
 	s.mu.Unlock()
 	if conn != nil {
 		_ = proto.WriteBye(conn)
@@ -813,34 +718,15 @@ func (s *session) run() (*player.Metrics, error) {
 
 // decide runs the scheme and ships the resulting fetch list; during an
 // outage the list is recorded and shipped by the reconnector instead.
-func (s *session) decide(now time.Duration, playFrame int, stalled bool, nextFrameAt time.Duration, frameDur time.Duration) {
+func (s *session) decide(now time.Duration) {
 	s.mu.Lock()
 	mbps := s.bwPred.PredictMbps()
-	s.mu.Unlock()
 	if mbps <= 0 {
 		mbps = s.opts.AssumedStartMbps
 	}
-	base := nextFrameAt
-	if stalled {
-		base = now
-	}
-	ctx := &player.Context{
-		Now:           now,
-		PlayFrame:     playFrame,
-		Stalled:       stalled,
-		Manifest:      s.m,
-		Grid:          s.grid,
-		Viewport:      s.opts.Viewport,
-		Received:      s.received,
-		Predict:       s.vpPred.Predict,
-		PredictedMbps: mbps,
-		FrameDuration: frameDur,
-		FrameDeadline: func(frame int) time.Duration {
-			return base + time.Duration(frame-playFrame)*frameDur
-		},
-	}
-	s.mu.Lock()
-	items := s.scheme.Decide(ctx)
+	s.ph.Stamp(&s.ctx, now)
+	s.ctx.PredictedMbps = mbps
+	items := s.scheme.Decide(&s.ctx)
 	s.gen++
 	gen := s.gen
 	// Copy: Decide's result may alias scheme-owned buffers that the next

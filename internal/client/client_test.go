@@ -227,41 +227,51 @@ func TestServerRedundancySuppression(t *testing.T) {
 // TestClientMatchesEngine validates the two playback paths against each
 // other: the same scheme, video, head trace and (effectively unconstrained)
 // link must produce equivalent sessions through the discrete-event engine
-// and the real-time network client.
+// and the real-time network client, under both playback disciplines.
 func TestClientMatchesEngine(t *testing.T) {
 	m := liveManifest()
 	head := liveHead(4 * time.Second)
 	fastTrace := &trace.BandwidthTrace{ID: "fast", SamplePeriod: time.Second, Mbps: []float64{200}}
 
-	engineMet, err := player.Run(player.Config{
-		Manifest:  m,
-		Head:      head,
-		Bandwidth: fastTrace,
-		Scheme:    core.NewDefault(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		scheme func() player.Scheme
+	}{
+		{"NeverStall", func() player.Scheme { return core.NewDefault() }},
+		{"StallOnMissingAny", func() player.Scheme { return baseline.NewFlare(baseline.FlareOptions{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engineMet, err := player.Run(player.Config{
+				Manifest:  m,
+				Head:      head,
+				Bandwidth: fastTrace,
+				Scheme:    tc.scheme(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	conn := servePipe(t, m, netem.Link{Trace: fastTrace})
-	clientMet, err := Play(conn, "live", head, core.NewDefault(), PlayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+			conn := servePipe(t, m, netem.Link{Trace: fastTrace})
+			clientMet, err := Play(conn, "live", head, tc.scheme(), PlayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if engineMet.TotalFrames != clientMet.TotalFrames {
-		t.Errorf("frames: engine %d vs client %d", engineMet.TotalFrames, clientMet.TotalFrames)
-	}
-	if engineMet.IncompleteFrames != 0 || clientMet.IncompleteFrames != 0 {
-		t.Errorf("incomplete frames: engine %d client %d", engineMet.IncompleteFrames, clientMet.IncompleteFrames)
-	}
-	if engineMet.RebufferDuration != 0 || clientMet.RebufferDuration != 0 {
-		t.Error("neither path should stall on a fast link")
-	}
-	// Quality within a tolerance: the client pays real wall-clock jitter
-	// during startup, so allow a few dB at the median.
-	de, dc := engineMet.MedianScore(), clientMet.MedianScore()
-	if dc < de-4 {
-		t.Errorf("client median %.2f far below engine %.2f", dc, de)
+			if engineMet.TotalFrames != clientMet.TotalFrames {
+				t.Errorf("frames: engine %d vs client %d", engineMet.TotalFrames, clientMet.TotalFrames)
+			}
+			if engineMet.IncompleteFrames != 0 || clientMet.IncompleteFrames != 0 {
+				t.Errorf("incomplete frames: engine %d client %d", engineMet.IncompleteFrames, clientMet.IncompleteFrames)
+			}
+			if engineMet.RebufferDuration != 0 || clientMet.RebufferDuration != 0 {
+				t.Error("neither path should stall on a fast link")
+			}
+			// Quality within a tolerance: the client pays real wall-clock
+			// jitter during startup, so allow a few dB at the median.
+			de, dc := engineMet.MedianScore(), clientMet.MedianScore()
+			if dc < de-4 {
+				t.Errorf("client median %.2f far below engine %.2f", dc, de)
+			}
+		})
 	}
 }

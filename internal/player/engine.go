@@ -2,8 +2,6 @@ package player
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"time"
 
 	"dragonfly/internal/decoder"
@@ -48,11 +46,6 @@ type Config struct {
 	// with no masking tile are synthesized from neighboring masking tiles.
 	MaskInterpolation bool
 
-	// Debug, when non-nil, receives a line per scheduling decision,
-	// delivery and stall transition — a session event log for inspecting
-	// scheme behavior.
-	Debug io.Writer
-
 	// Trace, when non-nil, receives structured session events (decisions,
 	// fetches, skips, masks, stalls) for JSONL export. Nil disables tracing
 	// at the cost of one branch per event.
@@ -85,7 +78,7 @@ func Run(cfg Config) (*Metrics, error) {
 	}
 	e := newEngine(cfg)
 	e.run()
-	return e.finish(), nil
+	return e.met, nil
 }
 
 // transfer is the in-flight item at the head of the server's send queue.
@@ -96,21 +89,14 @@ type transfer struct {
 	started   time.Duration
 }
 
+// engine is the discrete-event driver: it advances virtual time through the
+// trace-driven network model and steps the Playhead at each event.
 type engine struct {
-	cfg      Config
-	m        *video.Manifest
-	grid     *geom.Grid
-	frameDur time.Duration
-	policy   StallPolicy
+	cfg Config
+	m   *video.Manifest
 
 	now time.Duration
-
-	// Playback state.
-	playFrame   int
-	nextFrameAt time.Duration
-	stalled     bool
-	startup     bool
-	stallStart  time.Duration
+	ph  Playhead
 
 	// Event schedule.
 	nextHead     time.Duration
@@ -126,16 +112,13 @@ type engine struct {
 
 	received   *Received
 	deliveries []Delivery
-	acct       *Accountant
 
 	vpPred *predict.Viewport
 	bwPred *predict.Bandwidth
 
 	// Reusable per-decision scratch: decide() refills ctx in place instead
-	// of allocating a Context (plus two method-value closures) per epoch,
-	// and the frame loop reuses vpTiles for viewport-tile discovery.
-	ctx     Context
-	vpTiles []geom.TileID
+	// of allocating a Context (plus two method-value closures) per epoch.
+	ctx Context
 
 	met *Metrics
 }
@@ -143,14 +126,10 @@ type engine struct {
 func newEngine(cfg Config) *engine {
 	m := cfg.Manifest
 	tiles := m.NumTiles()
+	grid := m.Grid()
 	e := &engine{
 		cfg:          cfg,
 		m:            m,
-		grid:         m.Grid(),
-		frameDur:     time.Second / time.Duration(m.FPS),
-		policy:       cfg.Scheme.StallPolicy(),
-		stalled:      true, // startup: waiting for the first frame
-		startup:      true,
 		sentPrimary:  make([]int8, m.NumChunks*tiles),
 		sentMaskTile: make([]bool, m.NumChunks*tiles),
 		sentMaskFull: make([]bool, m.NumChunks),
@@ -169,8 +148,9 @@ func newEngine(cfg Config) *engine {
 	for i := range e.sentPrimary {
 		e.sentPrimary[i] = -1
 	}
-	e.acct = NewAccountant(m, e.grid, cfg.Viewport, cfg.Metric, e.met)
-	e.acct.Interpolate = cfg.MaskInterpolation
+	acct := NewAccountant(m, grid, cfg.Viewport, cfg.Metric, e.met)
+	acct.Interpolate = cfg.MaskInterpolation
+	e.ph = NewPlayhead(acct, e.received, cfg.Head, cfg.Scheme.StallPolicy(), cfg.Trace)
 	if cfg.PredictErrorDeg > 0 {
 		e.vpPred = predict.NewViewportWithError(cfg.PredictorHistory, cfg.PredictErrorDeg, cfg.PredictErrorSeed)
 	} else {
@@ -180,18 +160,16 @@ func newEngine(cfg Config) *engine {
 	// which would otherwise allocate on every decision — are bound once.
 	e.ctx = Context{
 		Manifest:      m,
-		Grid:          e.grid,
+		Grid:          grid,
 		Viewport:      cfg.Viewport,
 		Received:      e.received,
 		Predict:       e.vpPred.Predict,
-		FrameDuration: e.frameDur,
-		FrameDeadline: e.frameDeadline,
+		FrameDeadline: e.ph.FrameDeadline,
 	}
 	return e
 }
 
 func (e *engine) run() {
-	totalFrames := e.m.NumFrames()
 	headPeriod := e.cfg.Head.SamplePeriod
 	interval := e.cfg.Scheme.DecisionInterval()
 	if interval <= 0 {
@@ -200,23 +178,13 @@ func (e *engine) run() {
 	// Trace header: the cohort key (trace class x network class) fleet
 	// rollups aggregate this session under.
 	e.cfg.Trace.Add(obs.SessionEvent(e.m.VideoID, e.cfg.Head.ClassName()+":"+e.cfg.Bandwidth.NetClass()))
-	for e.playFrame < totalFrames {
+	for !e.ph.Done() {
 		if e.now >= e.cfg.MaxWall {
-			e.met.Truncated = true
-			if e.stalled && !e.startup {
-				e.met.RebufferDuration += e.now - e.stallStart
-				e.stalled = false
-			}
+			e.ph.Truncate(e.now)
 			break
 		}
 		// Earliest control event.
-		tNext := e.nextHead
-		if e.nextDecision < tNext {
-			tNext = e.nextDecision
-		}
-		if !e.stalled && e.nextFrameAt < tNext {
-			tNext = e.nextFrameAt
-		}
+		tNext := e.ph.Wake(min(e.nextHead, e.nextDecision))
 		if tNext > e.cfg.MaxWall {
 			tNext = e.cfg.MaxWall
 		}
@@ -229,7 +197,7 @@ func (e *engine) run() {
 			if done <= tNext {
 				e.now = done
 				e.deliver()
-				e.tryResume()
+				e.ph.TryResume(e.now)
 				continue
 			}
 			e.inflight.remaining -= e.cfg.Bandwidth.BytesBetween(e.now, tNext)
@@ -241,22 +209,14 @@ func (e *engine) run() {
 			e.vpPred.Observe(e.nextHead, e.cfg.Head.At(e.nextHead))
 			e.nextHead += headPeriod
 		}
-		e.tryResume()
+		e.ph.TryResume(e.now)
 		if e.now >= e.nextDecision {
 			e.decide()
 			e.nextDecision = e.now + interval
 		}
-		if !e.stalled && e.now >= e.nextFrameAt && e.playFrame < totalFrames {
-			e.renderOrStall()
-		}
+		e.ph.RenderOrStall(e.now)
 	}
-	if e.stalled && !e.startup && !e.met.Truncated {
-		// Video ended mid-stall (cannot happen: frames gate the loop), kept
-		// for safety.
-		e.met.RebufferDuration += e.now - e.stallStart
-	}
-	e.met.WallDuration = e.now
-	e.met.PlayDuration = time.Duration(e.met.TotalFrames) * e.frameDur
+	e.ph.Finish(e.now, e.deliveries)
 }
 
 // promote moves the next sendable queued item into the in-flight slot,
@@ -306,7 +266,6 @@ func (e *engine) deliver() {
 	e.met.BytesReceived += tr.size
 	e.bwPred.ObserveTransfer(tr.size, e.now-tr.started)
 	e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvFetch, Chunk: tr.item.Chunk, Tile: int(tr.item.Tile), N: tr.size})
-	e.debugf("deliver %s chunk=%d tile=%d q=%d bytes=%d", tr.item.Stream, tr.item.Chunk, tr.item.Tile, tr.item.Quality, tr.size)
 }
 
 func (e *engine) decide() {
@@ -314,133 +273,8 @@ func (e *engine) decide() {
 	if mbps <= 0 {
 		mbps = e.cfg.AssumedStartMbps
 	}
-	e.ctx.Now = e.now
-	e.ctx.PlayFrame = e.playFrame
-	e.ctx.Stalled = e.stalled
+	e.ph.Stamp(&e.ctx, e.now)
 	e.ctx.PredictedMbps = mbps
 	e.queue = e.cfg.Scheme.Decide(&e.ctx)
 	e.cfg.Trace.Record(e.now, obs.EvDecide, int64(len(e.queue)))
-	e.debugf("decide frame=%d stalled=%v est=%.1fMbps items=%d", e.playFrame, e.stalled, mbps, len(e.queue))
-}
-
-// debugf writes one event-log line when Config.Debug is set.
-func (e *engine) debugf(format string, args ...any) {
-	if e.cfg.Debug == nil {
-		return
-	}
-	fmt.Fprintf(e.cfg.Debug, "%8.3fs  ", e.now.Seconds())
-	fmt.Fprintf(e.cfg.Debug, format, args...)
-	fmt.Fprintln(e.cfg.Debug)
-}
-
-// frameDeadline estimates when the given frame starts rendering, assuming
-// no further stalls.
-func (e *engine) frameDeadline(frame int) time.Duration {
-	base := e.nextFrameAt
-	if e.stalled {
-		base = e.now
-	}
-	return base + time.Duration(frame-e.playFrame)*e.frameDur
-}
-
-// startupGrace caps how long a continuous-playback (NeverStall) scheme
-// waits for its first frame: after this, playback begins even with missing
-// tiles, matching the skip discipline.
-const startupGrace = time.Second
-
-// requirementMet checks the stall policy for the given viewport tiles.
-func (e *engine) requirementMet(chunk int, ids []geom.TileID, startup bool) bool {
-	if startup && e.policy == NeverStall && e.now >= startupGrace {
-		return true
-	}
-	for _, id := range ids {
-		switch {
-		case startup || e.policy == StallOnMissingAny:
-			_, okP := e.received.BestPrimaryBy(chunk, id, e.now)
-			if !okP && !e.received.HasMaskingBy(chunk, id, e.now) {
-				return false
-			}
-		case e.policy == StallOnMissingMasking:
-			if !e.received.HasMaskingBy(chunk, id, e.now) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// tryResume ends a stall (or the startup wait) once the current viewport is
-// renderable again.
-func (e *engine) tryResume() {
-	if !e.stalled {
-		return
-	}
-	o := e.cfg.Head.At(e.now)
-	e.vpTiles = e.grid.AppendTilesInCap(e.vpTiles[:0], o, e.cfg.Viewport.RadiusDeg)
-	chunk := e.m.ChunkOfFrame(e.playFrame)
-	if !e.requirementMet(chunk, e.vpTiles, e.startup) {
-		return
-	}
-	if e.startup {
-		e.met.StartupDelay = e.now
-		e.startup = false
-		e.cfg.Trace.Record(e.now, obs.EvStartup, int64(e.now/time.Millisecond))
-		e.debugf("startup complete, playback begins")
-	} else {
-		e.met.RebufferDuration += e.now - e.stallStart
-		e.met.StallIntervals = append(e.met.StallIntervals, StallInterval{Start: e.stallStart, End: e.now})
-		e.cfg.Trace.Record(e.now, obs.EvResume, int64((e.now-e.stallStart)/time.Millisecond))
-		e.debugf("resume after %s stall", e.now-e.stallStart)
-	}
-	e.stalled = false
-	e.renderFrame()
-}
-
-// renderOrStall runs at a frame deadline: render it, or enter a stall if
-// the policy demands complete viewports.
-func (e *engine) renderOrStall() {
-	o := e.cfg.Head.At(e.now)
-	e.vpTiles = e.grid.AppendTilesInCap(e.vpTiles[:0], o, e.cfg.Viewport.RadiusDeg)
-	chunk := e.m.ChunkOfFrame(e.playFrame)
-	if e.policy != NeverStall && !e.requirementMet(chunk, e.vpTiles, false) {
-		e.stalled = true
-		e.stallStart = e.now
-		e.met.StallEvents++
-		e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvStall, Chunk: chunk})
-		e.debugf("stall frame=%d chunk=%d", e.playFrame, chunk)
-		return
-	}
-	e.renderFrame()
-}
-
-// renderFrame renders playFrame at the current instant and advances
-// playback.
-func (e *engine) renderFrame() {
-	o := e.cfg.Head.At(e.now)
-	chunk := e.m.ChunkOfFrame(e.playFrame)
-	skips, masks, blanks := e.met.PrimarySkipFrames, e.met.RenderedMasking, e.met.RenderedBlank
-	e.acct.RenderFrame(chunk, o, e.received, e.now)
-	if e.cfg.Trace != nil {
-		// Per-frame display events, derived from the accountant's deltas.
-		if n := len(e.met.FrameScore); n > 0 {
-			e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvQuality, Chunk: chunk, N: int64(e.met.FrameScore[n-1] * 100)})
-		}
-		if e.met.PrimarySkipFrames > skips {
-			e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvSkip, Chunk: chunk})
-		}
-		if d := e.met.RenderedMasking - masks; d > 0 {
-			e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvMask, Chunk: chunk, N: d})
-		}
-		if d := e.met.RenderedBlank - blanks; d > 0 {
-			e.cfg.Trace.Add(obs.Event{At: e.now, Kind: obs.EvBlank, Chunk: chunk, N: d})
-		}
-	}
-	e.playFrame++
-	e.nextFrameAt = e.now + e.frameDur
-}
-
-// finish computes the wastage accounting (§4.1) and returns the metrics.
-func (e *engine) finish() *Metrics {
-	e.acct.FinishWastage(e.deliveries)
-	return e.met
 }

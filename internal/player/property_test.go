@@ -1,15 +1,14 @@
 package player
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"dragonfly/internal/decoder"
 	"dragonfly/internal/geom"
+	"dragonfly/internal/obs"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/video"
 )
@@ -266,22 +265,25 @@ func TestMaskInterpolationFillsHoles(t *testing.T) {
 
 func TestDebugEventLog(t *testing.T) {
 	m := video.Generate(video.GenParams{ID: "dbg", Rows: 4, Cols: 4, NumChunks: 2, Seed: 7})
-	var log bytes.Buffer
+	tr := obs.NewTrace(0)
 	_, err := Run(Config{
 		Manifest:  m,
 		Head:      staticHead(2 * time.Second),
 		Bandwidth: flatBandwidth(50),
 		Scheme: &testScheme{name: "all", interval: 100 * time.Millisecond, policy: NeverStall,
 			decide: fetchEverything(video.Lowest)},
-		Debug: &log,
+		Trace: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := log.String()
-	for _, want := range []string{"decide frame=", "deliver primary", "startup complete"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("debug log missing %q", want)
+	seen := map[obs.EventKind]bool{}
+	for _, ev := range tr.Events() {
+		seen[ev.Kind] = true
+	}
+	for _, want := range []obs.EventKind{obs.EvDecide, obs.EvFetch, obs.EvStartup} {
+		if !seen[want] {
+			t.Errorf("session trace missing %q events", want)
 		}
 	}
 }
@@ -330,5 +332,18 @@ func TestStallCascadeOnHeadMovement(t *testing.T) {
 	}
 	if met.StallEvents == 0 {
 		t.Error("no stall recorded")
+	}
+	// The stall still open at truncation is closed at the truncation
+	// instant: every counted stall has its interval, and the intervals
+	// account for all of the rebuffering (the Fig 5 analysis reads them).
+	if len(met.StallIntervals) != met.StallEvents {
+		t.Errorf("%d stall intervals for %d stall events", len(met.StallIntervals), met.StallEvents)
+	}
+	var sum time.Duration
+	for _, iv := range met.StallIntervals {
+		sum += iv.End - iv.Start
+	}
+	if sum != met.RebufferDuration {
+		t.Errorf("stall intervals sum to %v, rebuffering is %v", sum, met.RebufferDuration)
 	}
 }

@@ -2,7 +2,9 @@
 // the evaluation: a discrete-event session simulator with byte-accurate
 // trace-driven network delivery, frame-granularity rendering, both playback
 // disciplines (continuous playback with skips, and stall-on-miss), and the
-// full metric accounting of paper §4.1.
+// full metric accounting of paper §4.1. The playback rules themselves live
+// in Playhead, which Run steps on virtual time and the real-time client
+// (internal/client) steps on wall time.
 //
 // Schemes (Dragonfly in internal/core, the baselines in internal/baseline)
 // plug in through the Scheme interface: every decision interval they emit

@@ -95,11 +95,16 @@ go test -race -run '^TestQoEFeedback$' -count=1 -timeout 120s ./internal/experim
 go test -race -run '^TestWorkerCountInvariance$|^TestShardEquivalence$|^TestShardSubprocessEquivalence$' \
 	-count=1 -timeout 120s ./internal/popsim
 
-# Fuzz smoke: ten seconds per wire-format parser. The v3 framing work
-# (CRC trailers, hard length cap, resume bitmaps) lives or dies on these
-# parsers rejecting hostile bytes without panicking or over-allocating.
+# Fuzz smoke: ten seconds per parser of untrusted bytes. The v3 framing
+# work (CRC trailers, hard length cap, resume bitmaps) lives or dies on the
+# wire parsers rejecting hostile bytes without panicking or
+# over-allocating; the trace readers ingest user-supplied head CSVs and
+# bandwidth logs.
 for target in FuzzReadMessage FuzzParseTileData FuzzParseResume; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME:-10s}" ./internal/proto
+done
+for target in FuzzReadHeadCSV FuzzReadIntervalLog; do
+	go test -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME:-10s}" ./internal/trace
 done
 
 # Benchmark smoke: every benchmark must still run, and its timing is
