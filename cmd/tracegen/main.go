@@ -1,12 +1,13 @@
 // Command tracegen emits the synthetic datasets as files: head-motion
-// traces, bandwidth traces (Belgian-4G-like or Irish-5G-like), and video
-// manifests, in the CSV/JSON formats the other tools consume.
+// traces, bandwidth traces (Belgian-4G-like or Irish-5G-like) as CSV, and
+// video manifests in their binary wire form (the MsgManifest body that
+// video.ReadManifest decodes).
 //
 // Usage:
 //
 //	tracegen -kind head -motion high -seed 3 -out user3.csv
 //	tracegen -kind bandwidth -profile belgian -seed 7 -out bw7.csv
-//	tracegen -kind manifest -video v8 -out v8.json
+//	tracegen -kind manifest -video v8 -out v8.manifest
 //	tracegen -kind import -in belgian_log.txt -bytes -out bw.csv
 package main
 

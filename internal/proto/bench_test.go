@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/player"
+	"dragonfly/internal/video"
 )
 
 // The framing benchmarks measure the CRC32-C trailer's cost on the tile
@@ -109,6 +110,46 @@ func BenchmarkFrameReadReuse(b *testing.B) {
 		r.Reset(frame)
 		var err error
 		if _, buf, err = ReadMessageBuf(r, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchManifest is the paper-geometry video the fleet benchmark serves:
+// 12×12 tiles, 5 qualities, 10 one-second chunks.
+func benchManifest() *video.Manifest {
+	return video.Generate(video.GenParams{ID: "bench", Seed: 2, NumChunks: 10})
+}
+
+// BenchmarkManifestWrite measures the reference manifest encoder: binary
+// body, framing and CRC trailer. The server pays it once per store, not
+// once per session.
+func BenchmarkManifestWrite(b *testing.B) {
+	m := benchManifest()
+	b.SetBytes(int64(m.BinarySize()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := WriteManifest(io.Discard, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkManifestRead measures what a client pays per session to read
+// the manifest frame: CRC check and binary decode into owned arrays.
+func BenchmarkManifestRead(b *testing.B) {
+	m := benchManifest()
+	var wire bytes.Buffer
+	if err := WriteManifest(&wire, m); err != nil {
+		b.Fatal(err)
+	}
+	frame := wire.Bytes()
+	r := bytes.NewReader(frame)
+	b.SetBytes(int64(m.BinarySize()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Reset(frame)
+		if _, err := ReadMessage(r); err != nil {
 			b.Fatal(err)
 		}
 	}

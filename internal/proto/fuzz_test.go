@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/player"
+	"dragonfly/internal/video"
 )
 
 // FuzzReadMessage hammers the frame decoder with arbitrary bytes: it must
@@ -54,6 +55,10 @@ func FuzzReadMessage(f *testing.F) {
 	var v2 bytes.Buffer
 	_ = writeFrameChecked(&v2, MsgHello, []byte{2, 'v', '1'}, false)
 	f.Add(v2.Bytes())
+	// A binary manifest frame (wire v4), small enough to mutate usefully.
+	var manifest bytes.Buffer
+	_ = WriteManifest(&manifest, video.Generate(video.GenParams{ID: "f", Rows: 2, Cols: 2, NumChunks: 1, Seed: 1}))
+	f.Add(manifest.Bytes())
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		msg, err := ReadMessage(bytes.NewReader(raw))

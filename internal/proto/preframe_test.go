@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"dragonfly/internal/geom"
 	"dragonfly/internal/player"
+	"dragonfly/internal/video"
 )
 
 // writeRecorder counts Write calls and keeps the bytes, to pin the
@@ -140,6 +142,51 @@ func TestReadMessageBufReusesBuffer(t *testing.T) {
 			t.Fatalf("frame %d: buffer not reused (cap %d -> %d)", i, lastCap, cap(buf))
 		}
 		lastCap = cap(buf)
+	}
+}
+
+// TestReadMessageBufManifestOwnsMemory pins the other half of the
+// ownership contract: a decoded manifest never aliases the frame buffer,
+// so a reader that keeps it (the client, fleetbench's fetch sessions)
+// sees it unchanged after the buffer is reused for the next frames.
+func TestReadMessageBufManifestOwnsMemory(t *testing.T) {
+	m := video.Generate(video.GenParams{ID: "own", Rows: 3, Cols: 4, NumChunks: 2, Seed: 5})
+	var wire bytes.Buffer
+	if err := WriteManifest(&wire, m); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), wire.Bytes()...)
+	// Tile frames small enough to be read into the manifest's buffer,
+	// with payload bytes unlike anything in it.
+	for i := 0; i < 3; i++ {
+		if err := WriteTileData(&wire, TileData{
+			Item:    player.RequestItem{Stream: player.Primary, Chunk: 1, Tile: geom.TileID(i), Quality: 2},
+			Payload: bytes.Repeat([]byte{0xEE}, len(want)/2),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bytes.NewReader(wire.Bytes())
+	msg, buf, err := ReadMessageBuf(r, nil)
+	if err != nil || msg.Type != MsgManifest {
+		t.Fatalf("manifest read: %v", err)
+	}
+	got := msg.Manifest
+	manifestBuf := &buf[:1][0]
+	for i := 0; i < 3; i++ {
+		if msg, buf, err = ReadMessageBuf(r, buf); err != nil || msg.Type != MsgTileData {
+			t.Fatalf("tile %d read: %v", i, err)
+		}
+	}
+	if &buf[:1][0] != manifestBuf {
+		t.Fatal("tile frames were not read into the manifest's buffer")
+	}
+	var again bytes.Buffer
+	if err := WriteManifest(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatal("manifest changed after its read buffer was reused for tile frames")
 	}
 }
 

@@ -8,8 +8,8 @@
 // checksum covers the same bytes, so a flipped bit anywhere in a frame —
 // including its length prefix, which desynchronizes the stream — surfaces
 // as a clean integrity error instead of decoded garbage. Bodies use
-// fixed-width big-endian integers; the manifest travels as JSON (it is
-// sent once per session).
+// fixed-width big-endian integers, the manifest included (its binary form
+// is video.Manifest.WriteTo); wire v4 replaced the earlier JSON manifest.
 //
 // Writer contract: every frame goes out as a single Write call (or one
 // vectored net.Buffers write for pre-framed tiles), so a frame is atomic
@@ -20,7 +20,6 @@
 package proto
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,7 +39,8 @@ type MsgType uint8
 const (
 	// MsgHello (client -> server): request a video by ID.
 	MsgHello MsgType = iota + 1
-	// MsgManifest (server -> client): the video manifest, as JSON.
+	// MsgManifest (server -> client): the video manifest in its binary
+	// form (video.ReadManifest decodes the body).
 	MsgManifest
 	// MsgRequest (client -> server): a full fetch list with a generation
 	// number; it replaces any earlier request ("the server discards the
@@ -74,13 +74,16 @@ const (
 // MsgError instead of desynchronizing; a v2 peer reading v3 frames (or
 // vice versa) desynchronizes by exactly the trailer width and fails the
 // next checksum, so version skew also surfaces as a clean error — the
-// v2→v3 compatibility rule documented in docs/RESILIENCE.md.
-const ProtoVersion = 3
+// v2→v3 compatibility rule documented in docs/RESILIENCE.md. Version 4
+// replaces the JSON manifest body with the fixed-width binary one; a v3
+// client's resume gets the clean version error, and a v3 client's fresh
+// hello gets a manifest body its JSON decoder rejects (the v3→v4 rule).
+const ProtoVersion = 4
 
-// MaxFrameSize bounds a single frame; the largest legitimate payload is a
-// full-360° chunk at the highest quality (a few MB), plus the multi-MB
-// JSON manifest of a long video. A declared length beyond the cap is
-// rejected before any body allocation.
+// MaxFrameSize bounds a single frame; the largest legitimate payloads are
+// a full-360° chunk at the highest quality (a few MB) and the binary
+// manifest of a long video (about 21 KB per chunk at 12x12 tiles). A
+// declared length beyond the cap is rejected before any body allocation.
 const MaxFrameSize = 64 << 20
 
 // trailerSize is the width of the CRC32-C frame trailer.
@@ -396,13 +399,35 @@ func parseHello(body []byte) (Hello, error) {
 	return h, nil
 }
 
-// WriteManifest sends the manifest as JSON.
+// WriteManifest sends the manifest in its binary form. It is the reference
+// encoder: the server sends the byte-identical frame internal/store
+// builds once per manifest with ManifestFrame.
 func WriteManifest(w io.Writer, m *video.Manifest) error {
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	frame, err := ManifestFrame(m)
+	if err != nil {
 		return err
 	}
-	return writeFrame(w, MsgManifest, buf.Bytes())
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("proto: write frame: %w", err)
+	}
+	return nil
+}
+
+// ManifestFrame returns the complete MsgManifest wire frame of m: header,
+// binary manifest body and CRC32-C trailer, in one freshly allocated
+// buffer.
+func ManifestFrame(m *video.Manifest) ([]byte, error) {
+	body := m.BinarySize()
+	if body+1 > MaxFrameSize {
+		return nil, fmt.Errorf("proto: frame too large (%d bytes)", body)
+	}
+	frame, err := m.AppendBinary(make([]byte, frameHeaderSize, frameHeaderSize+body+trailerSize))
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(frame[:4], uint32(body+1))
+	frame[4] = byte(MsgManifest)
+	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame[4:], castagnoli)), nil
 }
 
 // itemWireSize is the encoded size of one request item.
@@ -627,8 +652,11 @@ func ReadMessage(r io.Reader) (*Message, error) {
 // Ownership contract: the returned Message aliases the returned buffer —
 // TileData.Payload and the Resume.Held bitmaps point directly into it — so
 // the message and anything it references are valid only until
-// the buffer is passed to ReadMessageBuf again. A buffer belongs to exactly
-// one reader loop; never share one across connections or goroutines.
+// the buffer is passed to ReadMessageBuf again. The one exception is
+// Manifest, which video.ReadManifest decodes into arrays it owns: a
+// session keeps it while the buffer is reused for tile frames. A buffer
+// belongs to exactly one reader loop; never share one across connections
+// or goroutines.
 // Callers that retain body-derived state across frames (the resume
 // handshake's held summary) must use ReadMessage or copy first.
 //
@@ -661,7 +689,7 @@ func decodeMessage(t MsgType, body []byte) (*Message, error) {
 		}
 		msg.Hello = &h
 	case MsgManifest:
-		m, err := video.ReadManifest(bytes.NewReader(body))
+		m, err := video.ReadManifest(body)
 		if err != nil {
 			return nil, err
 		}

@@ -691,7 +691,7 @@ func (s *Server) HandleConnContext(ctx context.Context, conn net.Conn) error {
 		return fmt.Errorf("server: expected hello, got type %d", msg.Type)
 	}
 	s.setWriteDeadline(conn)
-	if err := proto.WriteManifest(conn, m); err != nil {
+	if err := s.sendManifest(conn, m.VideoID); err != nil {
 		return fmt.Errorf("server: send manifest: %w", err)
 	}
 
@@ -957,6 +957,18 @@ func (s *Server) HandleConnContext(ctx context.Context, conn net.Conn) error {
 		return err
 	}
 	return nil
+}
+
+// sendManifest writes the video's MsgManifest frame, pre-encoded once by
+// its store: one Write of shared bytes, with no per-session encode,
+// checksum or allocation.
+func (s *Server) sendManifest(w io.Writer, id string) error {
+	frame, err := s.stores[id].ManifestFrame()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
 }
 
 // writeBatch flushes one gathered batch. Disarmed (always, in production)

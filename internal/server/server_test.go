@@ -27,6 +27,39 @@ func TestVideos(t *testing.T) {
 	}
 }
 
+// TestSendManifestZeroAlloc pins the pre-encoded handshake: sending the
+// manifest is one Write of the store's shared frame, with no per-session
+// encode, checksum or allocation.
+func TestSendManifestZeroAlloc(t *testing.T) {
+	m := testManifest()
+	s := New(m)
+	frame, err := s.stores[m.VideoID].ManifestFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n countWriter
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.sendManifest(&n, m.VideoID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("manifest send allocates %.1f times per session, want 0", allocs)
+	}
+	if n.writes != 101 || n.bytes != 101*len(frame) {
+		t.Fatalf("%d writes of %d bytes, want 101 single-Write frames of %d", n.writes, n.bytes, len(frame))
+	}
+}
+
+// countWriter counts Write calls and bytes.
+type countWriter struct{ writes, bytes int }
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
 func TestSendStateSupersession(t *testing.T) {
 	m := testManifest()
 	st := newSendState(m)

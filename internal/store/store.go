@@ -8,15 +8,17 @@
 // then serve tiles by reference: a send is three slice headers appended
 // to a net.Buffers (head || payload || trailer) and one vectored write,
 // with zero per-send serialization or checksum work and zero
-// per-connection payload memory.
+// per-connection payload memory. The session's MsgManifest frame is
+// pre-encoded the same way, once per store, so the handshake is one Write
+// of shared bytes with no per-session encode or checksum.
 //
 // Memory model: the store keeps proto.TileFrameOverhead (20) bytes per
 // frame — the head and CRC trailer — plus ONE shared payload slab sized
-// to the largest variant. Payload bytes are synthetic zeros: the
-// schedulers only ever consume tile SIZES from the manifest, and the
-// manifest's payload checksums are computed over the same zero bytes
-// (video.Generate), so the pre-framed trailer and the client's payload
-// verification agree bit for bit. A deployment serving real encoded tiles
+// to the largest variant, plus the one manifest frame. Payload bytes are
+// synthetic zeros: the schedulers only ever consume tile SIZES from the
+// manifest, and the manifest's payload checksums are computed over the
+// same zero bytes (video.Generate), so the pre-framed trailer and the
+// client's payload verification agree bit for bit. A deployment serving real encoded tiles
 // would hold one payload slab per variant; heads, trailers, and the
 // serve-by-reference path are unchanged.
 //
@@ -67,15 +69,20 @@ type Store struct {
 
 	// payload is the shared zero slab every frame's payload is cut from.
 	payload []byte
+
+	// manifest is the complete MsgManifest wire frame (proto.ManifestFrame),
+	// or manifestErr why the manifest cannot be encoded.
+	manifest    []byte
+	manifestErr error
 }
 
 // New builds the store for a manifest, pre-framing every frame. This is
 // the warm-up cost of a manifest load: one CRC32-C pass over each frame's
 // payload length (hardware-accelerated; see docs/PERFORMANCE.md for the
-// cost model). A variant whose frame would exceed proto.MaxFrameSize —
-// impossible to send on this wire at all — is left unbuilt, and
-// AppendFrame reports it as out of range so senders skip it instead of
-// tearing the session down mid-stream.
+// cost model) and one manifest encode. A variant whose frame would
+// exceed proto.MaxFrameSize — impossible to send on this wire at all — is
+// left unbuilt, and AppendFrame reports it as out of range so senders
+// skip it instead of tearing the session down mid-stream.
 func New(m *video.Manifest) *Store {
 	tiles := m.NumTiles()
 	nv := 2*m.NumChunks*tiles*video.NumQualities + m.NumChunks*video.NumQualities
@@ -100,6 +107,7 @@ func New(m *video.Manifest) *Store {
 		// treats as absent.
 		_ = proto.PreframeTile(head, trailer, it, s.payload[:it.Size(m)])
 	})
+	s.manifest, s.manifestErr = proto.ManifestFrame(m)
 	return s
 }
 
@@ -257,15 +265,21 @@ func (s *Store) WireSize(it player.RequestItem) int64 {
 // Manifest returns the manifest the store was built from.
 func (s *Store) Manifest() *video.Manifest { return s.m }
 
+// ManifestFrame returns the manifest's complete MsgManifest wire frame,
+// byte-identical to what proto.WriteManifest emits, or the error that
+// kept it from being encoded. The frame is shared by every session:
+// write it, never write into it.
+func (s *Store) ManifestFrame() ([]byte, error) { return s.manifest, s.manifestErr }
+
 // NumFrames reports how many pre-framed wire frames the store holds.
 func (s *Store) NumFrames() int { return len(s.heads) / proto.TileHeadSize }
 
 // MemoryBytes reports the store's resident footprint: per-frame heads
-// and trailers plus the one shared payload slab. This is the process-wide
-// cost of serving the manifest to ANY number of concurrent sessions — the
-// number the srv_store_bytes gauge exposes.
+// and trailers, the one shared payload slab and the manifest frame. This
+// is the process-wide cost of serving the manifest to ANY number of
+// concurrent sessions — the number the srv_store_bytes gauge exposes.
 func (s *Store) MemoryBytes() int64 {
-	return int64(len(s.heads) + len(s.trailers) + len(s.payload))
+	return int64(len(s.heads) + len(s.trailers) + len(s.payload) + len(s.manifest))
 }
 
 // storeHolder defers construction so concurrent Shared callers block on

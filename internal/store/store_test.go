@@ -60,6 +60,44 @@ func TestFramesByteIdenticalToWriteTileData(t *testing.T) {
 	}
 }
 
+// TestManifestFrameByteIdenticalToWriteManifest pins the pre-encoded
+// handshake against the reference encoder: the store's manifest frame is
+// exactly the bytes proto.WriteManifest emits, CRC trailer included, and
+// it decodes back to the manifest it was built from.
+func TestManifestFrameByteIdenticalToWriteManifest(t *testing.T) {
+	m := testManifest(t)
+	s := New(m)
+	got, err := s.ManifestFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := proto.WriteManifest(&want, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("store manifest frame differs from WriteManifest output (%d vs %d bytes)", len(got), want.Len())
+	}
+	msg, err := proto.ReadMessage(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Type != proto.MsgManifest || msg.Manifest.VideoID != m.VideoID ||
+		msg.Manifest.TileChecksum(2, geom.TileID(5), video.Highest) != m.TileChecksum(2, geom.TileID(5), video.Highest) {
+		t.Fatal("store manifest frame does not decode to its manifest")
+	}
+}
+
+// TestManifestFrameUnencodable: a manifest the codec refuses leaves the
+// store without a frame and reports why, instead of failing New.
+func TestManifestFrameUnencodable(t *testing.T) {
+	m := testManifest(t)
+	m.MaskDisplacement = m.MaskDisplacement[:1]
+	if frame, err := New(m).ManifestFrame(); err == nil || frame != nil {
+		t.Fatalf("unencodable manifest: frame of %d bytes, err %v", len(frame), err)
+	}
+}
+
 // TestFramesDecodeWithRequestedStream guards the subtle part of the
 // layout: the wire item inside the frame head carries the stream kind, so
 // the same (chunk, tile, quality) served as primary and as masking must
@@ -209,7 +247,11 @@ func TestMemoryBytesIsSharedSlabModel(t *testing.T) {
 			maxSize = sz
 		}
 	})
-	want := int64(s.NumFrames()*proto.TileFrameOverhead) + maxSize
+	frame, err := s.ManifestFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(s.NumFrames()*proto.TileFrameOverhead) + maxSize + int64(len(frame))
 	if got := s.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}

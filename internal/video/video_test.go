@@ -2,7 +2,6 @@ package video
 
 import (
 	"bytes"
-	"encoding/json"
 	"hash/crc32"
 	"math"
 	"testing"
@@ -287,52 +286,6 @@ func TestGroupSizeSingleton(t *testing.T) {
 	}
 }
 
-func TestManifestJSONRoundTrip(t *testing.T) {
-	m := testManifest(t)
-	m.MaskDisplacement[3] = 42.5
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadManifest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.VideoID != m.VideoID || got.NumChunks != m.NumChunks {
-		t.Fatal("round trip lost identity")
-	}
-	if got.MaskDisplacement[3] != 42.5 {
-		t.Error("round trip lost mask displacement")
-	}
-	for c := 0; c < m.NumChunks; c += 3 {
-		for tl := 0; tl < m.NumTiles(); tl += 17 {
-			for q := Quality(0); q < NumQualities; q++ {
-				if got.TileSize(c, geom.TileID(tl), q) != m.TileSize(c, geom.TileID(tl), q) {
-					t.Fatal("round trip lost sizes")
-				}
-				if got.TilePSNR(c, geom.TileID(tl), q) != m.TilePSNR(c, geom.TileID(tl), q) {
-					t.Fatal("round trip lost PSNR")
-				}
-			}
-		}
-	}
-}
-
-func TestReadManifestRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		``,
-		`{`,
-		`{"video_id":"x","rows":0,"cols":12,"fps":30,"chunk_frames":30,"num_chunks":1}`,
-		`{"video_id":"x","rows":2,"cols":2,"fps":30,"chunk_frames":30,"num_chunks":1,"qps":[42,37,32,27,22],"sizes":[1],"psnr":[1],"pspnr":[1],"black_psnr":[1],"full360":[1]}`,
-		`{"video_id":"x","rows":2,"cols":2,"fps":30,"chunk_frames":30,"num_chunks":1,"qps":[42]}`,
-	}
-	for i, c := range cases {
-		if _, err := ReadManifest(bytes.NewReader([]byte(c))); err == nil {
-			t.Errorf("case %d: corrupt manifest accepted", i)
-		}
-	}
-}
-
 func TestMedianHelper(t *testing.T) {
 	if got := median(nil); got != 0 {
 		t.Errorf("median(nil) = %v", got)
@@ -402,12 +355,12 @@ func TestManifestChecksums(t *testing.T) {
 		t.Errorf("full360 checksum %08x, want %08x", got, fwant)
 	}
 
-	// Checksums survive the JSON round trip.
+	// Checksums survive the binary round trip.
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(&buf)
+	got, err := ReadManifest(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,38 +378,5 @@ func TestZeroCRCMatchesLiteral(t *testing.T) {
 		if got := zeroCRC(n); got != want {
 			t.Errorf("zeroCRC(%d) = %08x, want %08x", n, got, want)
 		}
-	}
-}
-
-func TestReadManifestRejectsPartialChecksums(t *testing.T) {
-	m := Generate(GenParams{ID: "ck", Rows: 2, Cols: 2, NumChunks: 1, Seed: 9})
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var j map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &j); err != nil {
-		t.Fatal(err)
-	}
-	delete(j, "full360_checksums") // tile checksums without full360 ones
-	raw, err := json.Marshal(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(bytes.NewReader(raw)); err == nil {
-		t.Error("manifest with partial checksum arrays accepted")
-	}
-	// Dropping both is the documented pre-v3 form and must stay readable.
-	delete(j, "checksums")
-	raw, err = json.Marshal(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := ReadManifest(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.HasChecksums() {
-		t.Error("legacy manifest claims checksums")
 	}
 }

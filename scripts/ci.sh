@@ -98,11 +98,13 @@ go test -race -run '^TestWorkerCountInvariance$|^TestShardEquivalence$|^TestShar
 # Fuzz smoke: ten seconds per parser of untrusted bytes. The v3 framing
 # work (CRC trailers, hard length cap, resume bitmaps) lives or dies on the
 # wire parsers rejecting hostile bytes without panicking or
-# over-allocating; the trace readers ingest user-supplied head CSVs and
-# bandwidth logs.
+# over-allocating; the binary manifest decoder (wire v4) sizes its arrays
+# from a header it must distrust; the trace readers ingest user-supplied
+# head CSVs and bandwidth logs.
 for target in FuzzReadMessage FuzzParseTileData FuzzParseResume; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME:-10s}" ./internal/proto
 done
+go test -run '^$' -fuzz '^FuzzReadManifest$' -fuzztime "${FUZZTIME:-10s}" ./internal/video
 for target in FuzzReadHeadCSV FuzzReadIntervalLog; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME:-10s}" ./internal/trace
 done
